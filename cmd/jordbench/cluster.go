@@ -85,10 +85,7 @@ func startClusterRig(n int) (*clusterRig, error) {
 	var workerAddrs []string
 	for i := 0; i < n; i++ {
 		d := server.New(server.Config{
-			Pool: pool.Config{Executors: clusterExecutors, JBSQBound: 4},
-			// The zero-alloc edge keeps per-worker overhead out of the
-			// scaling signal; management endpoints behave identically.
-			Edge:           true,
+			Pool:           pool.Config{Executors: clusterExecutors, JBSQBound: 4},
 			RequestTimeout: 30 * time.Second,
 		})
 		d.MustRegister("echo", func(ctx router.Ctx) ([]byte, error) {

@@ -11,7 +11,7 @@
 //	      [-breaker-window 10s] [-breaker-cooldown 2s] [-breaker-ratio 0.5]
 //	      [-state-cap 67108864] [-state-global-ro-threshold 64]
 //	      [-timeout 30s] [-exec-timeout 0] [-drain-timeout 30s]
-//	      [-max-body 1048576] [-dedup-cache 4096] [-edge] [-pprof addr]
+//	      [-max-body 1048576] [-dedup-cache 4096] [-pprof addr]
 //
 // Endpoints:
 //
@@ -97,7 +97,6 @@ func main() {
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
 		maxBody       = flag.Int64("max-body", 1<<20, "max /invoke payload bytes")
 		dedupCache    = flag.Int("dedup-cache", 4096, "idempotent-replay cache entries for X-Jord-Idempotency-Key (0 = off)")
-		edge          = flag.Bool("edge", false, "serve through the zero-allocation HTTP edge instead of net/http")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
 	)
 	flag.Var(executors, "executors", "executor goroutines (0 = GOMAXPROCS)")
@@ -151,7 +150,6 @@ func main() {
 	if *dedupCache == 0 {
 		cfg.DedupCache = -1
 	}
-	cfg.Edge = *edge
 	// Same 0-means-off translation for the state knobs: the server layer
 	// reads < 0 as off and 0 as its own default.
 	cfg.StateCap = int64(stateCap.Value())

@@ -101,18 +101,21 @@ func NewDedupCache(maxEntries int) *DedupCache {
 // other request holds (or held) the key — wait on e.Done(), then read
 // e.Result(); if ok=false the leader aborted and the caller should call
 // Begin again (it may now become the leader).
-func (c *DedupCache) Begin(key string) (e *dedupEntry, leader bool) {
+//
+// key is the header's raw bytes: a lookup converts them without copying,
+// and only a new entry materializes the key string.
+func (c *DedupCache) Begin(key []byte) (e *dedupEntry, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.entries[key]; e != nil {
+	if e := c.entries[string(key)]; e != nil {
 		if e.elem != nil {
 			c.lru.MoveToFront(e.elem)
 		}
 		c.hits.Add(1)
 		return e, false
 	}
-	e = &dedupEntry{key: key, done: make(chan struct{})}
-	c.entries[key] = e
+	e = &dedupEntry{key: string(key), done: make(chan struct{})}
+	c.entries[e.key] = e
 	return e, true
 }
 

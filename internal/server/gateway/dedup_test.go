@@ -1,29 +1,28 @@
 package gateway
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"context"
-
 	"jord/internal/server/admission"
 	"jord/internal/server/breaker"
 	"jord/internal/server/pool"
 	"jord/internal/server/router"
+	"jord/internal/server/state"
 )
 
-// newDedupRig builds a live gateway with the idempotency cache enabled, a
-// counting function, and both serving paths: a net/http mux server and the
-// zero-alloc edge on a loopback listener.
-func newDedupRig(t *testing.T) (muxURL, edgeAddr string, calls *atomic.Int64, g *Gateway, stop func()) {
+// newDedupRig builds a live gateway with the idempotency cache enabled and
+// counting functions, served through the edge on a loopback listener with
+// the given request deadline.
+func newDedupRig(t *testing.T, timeout time.Duration) (edgeURL string, calls *atomic.Int64, g *Gateway, stop func()) {
 	t.Helper()
 	calls = &atomic.Int64{}
 	reg := router.New()
@@ -35,6 +34,13 @@ func newDedupRig(t *testing.T) (muxURL, edgeAddr string, calls *atomic.Int64, g 
 		calls.Add(1)
 		return nil, fmt.Errorf("intentional")
 	})
+	reg.MustRegister("degraded", func(ctx router.Ctx) ([]byte, error) {
+		calls.Add(1)
+		return nil, state.ErrDegraded
+	})
+	reg.MustRegister("echo", func(ctx router.Ctx) ([]byte, error) {
+		return ctx.Payload(), nil
+	})
 	p := pool.New(pool.Config{Executors: 2, Orchestrators: 1, NumPDs: 64}, reg)
 	p.Start()
 	g = &Gateway{
@@ -42,36 +48,24 @@ func newDedupRig(t *testing.T) (muxURL, edgeAddr string, calls *atomic.Int64, g 
 		Pool:           p,
 		Adm:            admission.New(1024),
 		Breakers:       breaker.NewSet(breaker.Config{}, reg.Names()),
-		RequestTimeout: 5 * time.Second,
+		RequestTimeout: timeout,
 		MaxBodyBytes:   1 << 20,
 		Dedup:          NewDedupCache(64),
 	}
-	srv := httptest.NewServer(g.Handler())
-	e := NewEdge(g)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- e.Serve(ln) }()
-	stop = func() {
-		srv.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := e.Shutdown(ctx); err != nil {
-			t.Errorf("edge shutdown: %v", err)
-		}
-		if err := <-done; err != nil {
-			t.Errorf("edge serve: %v", err)
-		}
-		if err := p.Drain(ctx); err != nil {
-			t.Errorf("pool drain: %v", err)
-		}
-	}
-	return srv.URL, ln.Addr().String(), calls, g, stop
+	addr, stop := serveEdge(t, g)
+	return "http://" + addr, calls, g, stop
 }
 
+// oneShot sends every request over a fresh connection, so a replay is
+// always answered on a different connection than the original.
+var oneShot = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+
 func keyedInvoke(t *testing.T, base, fn, key, payload string) (status int, dedup bool, body string) {
+	status, h, body := keyedInvokeHeader(t, base, fn, key, payload)
+	return status, h.Get(DedupHeader) == "1", body
+}
+
+func keyedInvokeHeader(t *testing.T, base, fn, key, payload string) (status int, h http.Header, body string) {
 	t.Helper()
 	req, err := http.NewRequest("POST", base+"/invoke/"+fn, strings.NewReader(payload))
 	if err != nil {
@@ -81,7 +75,7 @@ func keyedInvoke(t *testing.T, base, fn, key, payload string) (status int, dedup
 	if key != "" {
 		req.Header.Set(IdempotencyKeyHeader, key)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := oneShot.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,24 +84,23 @@ func keyedInvoke(t *testing.T, base, fn, key, payload string) (status int, dedup
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, resp.Header.Get(DedupHeader) == "1", string(b)
+	return resp.StatusCode, resp.Header, string(b)
 }
 
-// TestDedupReplayBothPaths: the same idempotency key executes once and
-// replays byte-identically, whether the retry arrives over the net/http
-// mux or the hand-rolled edge.
-func TestDedupReplayBothPaths(t *testing.T) {
-	muxURL, edgeAddr, calls, _, stop := newDedupRig(t)
+// TestDedupReplayAcrossConnections: the same idempotency key executes once
+// and replays byte-identically on every later connection, while keyless
+// requests still execute fresh.
+func TestDedupReplayAcrossConnections(t *testing.T) {
+	base, calls, _, stop := newDedupRig(t, 5*time.Second)
 	defer stop()
-	edgeURL := "http://" + edgeAddr
 
-	status, dedup, first := keyedInvoke(t, muxURL, "count", "k1", "hello")
+	status, dedup, first := keyedInvoke(t, base, "count", "k1", "hello")
 	if status != 200 || dedup {
 		t.Fatalf("first: status=%d dedup=%v", status, dedup)
 	}
-	// Replay over the mux, then over the edge: identical body, marked
+	// Two replays, each on its own connection: identical body, marked
 	// replay, no second execution.
-	for i, base := range []string{muxURL, edgeURL} {
+	for i := 0; i < 2; i++ {
 		status, dedup, body := keyedInvoke(t, base, "count", "k1", "hello")
 		if status != 200 || !dedup || body != first {
 			t.Fatalf("replay %d: status=%d dedup=%v body=%q want %q", i, status, dedup, body, first)
@@ -117,8 +110,8 @@ func TestDedupReplayBothPaths(t *testing.T) {
 		t.Fatalf("function executed %d times, want 1", n)
 	}
 
-	// Keyless requests on the edge keep the fast path: fresh execution.
-	status, dedup, _ = keyedInvoke(t, edgeURL, "count", "", "hello")
+	// Keyless requests keep the fast path: fresh execution.
+	status, dedup, _ = keyedInvoke(t, base, "count", "", "hello")
 	if status != 200 || dedup {
 		t.Fatalf("keyless: status=%d dedup=%v", status, dedup)
 	}
@@ -130,26 +123,48 @@ func TestDedupReplayBothPaths(t *testing.T) {
 // TestDedupCachesFunctionError: a function-level failure is a completed
 // execution — the 500 replays rather than re-running the function.
 func TestDedupCachesFunctionError(t *testing.T) {
-	muxURL, _, calls, _, stop := newDedupRig(t)
+	base, calls, _, stop := newDedupRig(t, 5*time.Second)
 	defer stop()
 
-	status, _, body := keyedInvoke(t, muxURL, "fail", "ek", "x")
-	if status != 500 || !strings.Contains(body, "intentional") {
-		t.Fatalf("first: status=%d body=%q", status, body)
+	status, _, first := keyedInvoke(t, base, "fail", "ek", "x")
+	if status != 500 || !strings.Contains(first, "intentional") {
+		t.Fatalf("first: status=%d body=%q", status, first)
 	}
-	status, dedup, _ := keyedInvoke(t, muxURL, "fail", "ek", "x")
-	if status != 500 || !dedup {
-		t.Fatalf("replay: status=%d dedup=%v", status, dedup)
+	status, dedup, body := keyedInvoke(t, base, "fail", "ek", "x")
+	if status != 500 || !dedup || body != first {
+		t.Fatalf("replay: status=%d dedup=%v body=%q want %q", status, dedup, body, first)
 	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("fail executed %d times, want 1", n)
 	}
 }
 
+// TestDedupStateDegradedNotCached: a body refused by the degraded state
+// tier answers 503 with Retry-After, like any other degradation, and is
+// not recorded — a resend with the same key executes again rather than
+// replaying a status the original never sent.
+func TestDedupStateDegradedNotCached(t *testing.T) {
+	base, calls, _, stop := newDedupRig(t, 5*time.Second)
+	defer stop()
+
+	for i := 1; i <= 2; i++ {
+		status, h, _ := keyedInvokeHeader(t, base, "degraded", "dk", "x")
+		if status != http.StatusServiceUnavailable || h.Get("Retry-After") == "" {
+			t.Fatalf("send %d: status=%d Retry-After=%q, want 503 with Retry-After", i, status, h.Get("Retry-After"))
+		}
+		if h.Get(DedupHeader) != "" {
+			t.Fatalf("send %d: answered from the replay cache", i)
+		}
+		if n := calls.Load(); n != int64(i) {
+			t.Fatalf("send %d: executed %d times, want %d", i, n, i)
+		}
+	}
+}
+
 // TestDedupSingleFlight: concurrent arrivals of one key execute the
 // function once; every caller gets the same completed response.
 func TestDedupSingleFlight(t *testing.T) {
-	muxURL, _, calls, _, stop := newDedupRig(t)
+	base, calls, _, stop := newDedupRig(t, 5*time.Second)
 	defer stop()
 
 	const clients = 8
@@ -159,7 +174,7 @@ func TestDedupSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			status, _, body := keyedInvoke(t, muxURL, "count", "sf", "p")
+			status, _, body := keyedInvoke(t, base, "count", "sf", "p")
 			if status != 200 {
 				t.Errorf("client %d: status=%d", i, status)
 			}
@@ -177,15 +192,83 @@ func TestDedupSingleFlight(t *testing.T) {
 	}
 }
 
+// TestDedupFollowerDeadline: a request whose key is held by an unfinished
+// leader waits for it only until its own deadline, then answers 504
+// without executing; the leader still completes, and later arrivals
+// replay its result.
+func TestDedupFollowerDeadline(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	base, calls, g, stop := newDedupRig(t, timeout)
+	defer stop()
+
+	// The leader claims the key as soon as its header is parsed, then
+	// holds the claim while its body is withheld.
+	leader, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	if _, err := io.WriteString(leader, "POST /invoke/count HTTP/1.1\r\nHost: x\r\n"+
+		IdempotencyKeyHeader+": held\r\nContent-Length: 5\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !g.Dedup.held("held"); {
+		if time.Now().After(deadline) {
+			t.Fatal("leader never claimed the key")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	start := time.Now()
+	status, dedup, _ := keyedInvoke(t, base, "count", "held", "hello")
+	if waited := time.Since(start); status != http.StatusGatewayTimeout || dedup {
+		t.Fatalf("follower: status=%d dedup=%v after %v, want 504", status, dedup, waited)
+	} else if waited < timeout {
+		t.Fatalf("follower answered after %v, before its %v deadline", waited, timeout)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("follower executed: calls=%d", n)
+	}
+
+	// The leader sends its body and completes; a later arrival replays it.
+	leader.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.WriteString(leader, "hello"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(leader), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("leader: status=%d", resp.StatusCode)
+	}
+	status, dedup, body := keyedInvoke(t, base, "count", "held", "hello")
+	if status != 200 || !dedup || body != string(first) {
+		t.Fatalf("replay: status=%d dedup=%v body=%q want %q", status, dedup, body, first)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("executed %d times, want 1", n)
+	}
+}
+
+// held reports whether key has an entry, in progress or completed.
+func (c *DedupCache) held(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.entries[key] != nil
+}
+
 // TestDedupAbortReRace: when the leader aborts (request not completed),
 // a waiter wakes with ok=false and can claim leadership itself.
 func TestDedupAbortReRace(t *testing.T) {
 	c := NewDedupCache(8)
-	e1, leader := c.Begin("k")
+	e1, leader := c.Begin([]byte("k"))
 	if !leader {
 		t.Fatal("first Begin should lead")
 	}
-	e2, leader := c.Begin("k")
+	e2, leader := c.Begin([]byte("k"))
 	if leader {
 		t.Fatal("second Begin should follow")
 	}
@@ -194,7 +277,7 @@ func TestDedupAbortReRace(t *testing.T) {
 	if _, _, _, ok := e2.Result(); ok {
 		t.Fatal("aborted entry should report ok=false")
 	}
-	if _, leader := c.Begin("k"); !leader {
+	if _, leader := c.Begin([]byte("k")); !leader {
 		t.Fatal("post-abort Begin should lead again")
 	}
 	if c.Hits() != 1 {
@@ -207,7 +290,7 @@ func TestDedupAbortReRace(t *testing.T) {
 func TestDedupLRUEviction(t *testing.T) {
 	c := NewDedupCache(4)
 	for i := 0; i < 6; i++ {
-		e, leader := c.Begin(fmt.Sprintf("k%d", i))
+		e, leader := c.Begin(fmt.Appendf(nil, "k%d", i))
 		if !leader {
 			t.Fatalf("k%d: not leader", i)
 		}
@@ -220,10 +303,10 @@ func TestDedupLRUEviction(t *testing.T) {
 		t.Fatalf("evictions=%d want 2", c.Evictions())
 	}
 	// k0, k1 evicted; k5 still present.
-	if _, leader := c.Begin("k0"); !leader {
+	if _, leader := c.Begin([]byte("k0")); !leader {
 		t.Fatal("evicted key should lead again")
 	}
-	e, leader := c.Begin("k5")
+	e, leader := c.Begin([]byte("k5"))
 	if leader {
 		t.Fatal("k5 should still be cached")
 	}
@@ -232,12 +315,12 @@ func TestDedupLRUEviction(t *testing.T) {
 	}
 
 	// Oversized commit: not cached, key free for re-execution.
-	big, leader := c.Begin("big")
+	big, leader := c.Begin([]byte("big"))
 	if !leader {
 		t.Fatal("big: not leader")
 	}
 	c.Commit(big, 200, "text/plain", make([]byte, maxDedupBody+1))
-	if _, leader := c.Begin("big"); !leader {
+	if _, leader := c.Begin([]byte("big")); !leader {
 		t.Fatal("oversized body must not be cached")
 	}
 }
@@ -248,7 +331,7 @@ func TestDedupByteBudget(t *testing.T) {
 	c := NewDedupCache(8)
 	c.maxBytes = 100
 	for i := 0; i < 4; i++ {
-		e, _ := c.Begin(fmt.Sprintf("b%d", i))
+		e, _ := c.Begin(fmt.Appendf(nil, "b%d", i))
 		c.Commit(e, 200, "", make([]byte, 40))
 	}
 	if c.bytes > 100 {

@@ -17,31 +17,33 @@ import (
 	"jord/internal/server/trace"
 )
 
-// Edge is the zero-allocation HTTP/1.1 front end: a purpose-built server
-// for the POST /invoke/{fn} fast path that takes a request from socket to
-// function and back without a single heap allocation per request. Go's
-// net/http cannot make that promise (it allocates request/header objects
-// per request by design), so the edge speaks just enough HTTP/1.1 itself —
-// the fasthttp approach, specialized further to jordd's two-endpoint
-// surface:
+// Edge is jordd's HTTP/1.1 server. POST /invoke/{fn} runs on a
+// purpose-built pipeline that takes a request from socket to function and
+// back without a single heap allocation per request. Go's net/http cannot
+// make that promise (it allocates request/header objects per request by
+// design), so the edge speaks just enough HTTP/1.1 itself — the fasthttp
+// approach, specialized further to jordd's surface:
 //
 //   - POST /invoke/{fn}: parsed with ReadSlice (no line copies), function
-//     looked up via Registry.LookupBytes (no string materialization), body
-//     read with io.ReadFull straight into a per-connection pooled buffer
-//     that becomes the invocation's ArgBuf payload zero-copy, deadline
-//     managed by a recycled per-connection timer through pool.InvokeTimed
-//     (no context allocation), and the response written with one writev
-//     (net.Buffers) straight from the VMA-backed result bytes.
-//   - Everything else (GET /healthz, /readyz, /statsz, /varz, and any
-//     unrecognized request) delegates to the normal gateway handlers
-//     through a buffered adapter — the cold path, where allocations are
-//     irrelevant.
+//     looked up via Registry.LookupBytes (no string materialization), an
+//     idempotency key resolved against the replay cache by its raw bytes,
+//     body read with io.ReadFull straight into a per-connection pooled
+//     buffer that becomes the invocation's ArgBuf payload zero-copy,
+//     deadline managed by a recycled per-connection timer through
+//     pool.InvokeTimed (no context allocation), and the response written
+//     with one writev (net.Buffers) straight from the VMA-backed result
+//     bytes. A keyed request allocates only what the replay cache keeps
+//     (see TestEdgeKeyedInvokeAllocs).
+//   - Everything else (GET /healthz, /readyz, /statsz, /varz, /tracez,
+//     /flightz, /metrics, and any unrecognized request) delegates to the
+//     gateway's net/http handlers through a buffered adapter — the cold
+//     path, where allocations are irrelevant.
 //
 // Keep-alive is supported (the steady state for load balancers and
 // benchmarks); per-CONNECTION state is pooled and reused across requests,
-// so the amortized per-request allocation count on the fast path is zero —
-// measured, not aspirational (see TestEdgeInvokeAllocs and the http_echo
-// scenario in jordbench).
+// so the amortized per-request allocation count of a keyless invoke is
+// zero — measured, not aspirational (see TestEdgeInvokeAllocs and the
+// http_echo scenario in jordbench).
 type Edge struct {
 	g   *Gateway
 	mux http.Handler // cold-path delegate, built once
@@ -55,7 +57,7 @@ type Edge struct {
 
 // NewEdge builds the edge front end over a configured gateway.
 func NewEdge(g *Gateway) *Edge {
-	return &Edge{g: g, mux: g.Handler(), conns: make(map[net.Conn]*connState)}
+	return &Edge{g: g, mux: g.handler(), conns: make(map[net.Conn]*connState)}
 }
 
 // connState is one connection's reusable machinery. Everything a request
@@ -70,6 +72,7 @@ type connState struct {
 	fname []byte // function name, copied out of the volatile read buffer
 	host  []byte // Host header, copied out of the volatile read buffer
 	ikey  []byte // idempotency key header, copied out of the read buffer
+	clRaw []byte // first Content-Length value, to check repeats against
 
 	// nb is the writev pair (head + VMA-backed response). WriteTo CONSUMES
 	// a net.Buffers, so nb is rebuilt each response from the persistent
@@ -78,8 +81,13 @@ type connState struct {
 	nb    net.Buffers
 	nbArr [2][]byte
 
-	timer      *time.Timer // per-request deadline for InvokeTimed, recycled
+	timer      *time.Timer // per-request deadline, recycled
 	timerArmed bool
+	deadline   time.Time // when timer fires; valid while timerArmed
+
+	// ded is the replay-cache entry this request leads, until it is
+	// committed or aborted.
+	ded *dedupEntry
 
 	// span is the per-request trace record for the fast path, embedded
 	// here (not on the stack) so handing its address to InvokeTimed can
@@ -100,12 +108,24 @@ var csPool = sync.Pool{New: func() any {
 		fname: make([]byte, 0, 64),
 		host:  make([]byte, 0, 64),
 		ikey:  make([]byte, 0, 64),
+		clRaw: make([]byte, 0, 24),
 	}
 }}
 
 // Serve accepts connections on ln until Shutdown closes it.
+//
+// Shutdown and Serve are ordered through e.mu: a Shutdown that runs before
+// Serve registers the listener, or before a just-accepted connection is
+// registered, is seen here and the listener or connection closes at once —
+// otherwise the listener would accept forever, or the connection would
+// park unkicked and hold Shutdown until its deadline.
 func (e *Edge) Serve(ln net.Listener) error {
 	e.mu.Lock()
+	if e.draining.Load() {
+		e.mu.Unlock()
+		ln.Close()
+		return nil
+	}
 	e.ln = ln
 	e.mu.Unlock()
 	for {
@@ -116,21 +136,25 @@ func (e *Edge) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		e.mu.Lock()
+		if e.draining.Load() {
+			e.mu.Unlock()
+			c.Close()
+			return nil
+		}
 		cs := csPool.Get().(*connState)
 		cs.conn = c
 		cs.br.Reset(c)
-		e.mu.Lock()
 		e.conns[c] = cs
-		e.mu.Unlock()
 		e.wg.Add(1)
+		e.mu.Unlock()
 		go e.serveConn(cs)
 	}
 }
 
 // Shutdown stops accepting, kicks idle connections, and waits (until ctx
 // expires) for in-flight requests to finish; stragglers are then closed
-// hard. Mirrors http.Server.Shutdown closely enough for server.go to treat
-// the two interchangeably.
+// hard, as http.Server.Shutdown does.
 func (e *Edge) Shutdown(ctx context.Context) error {
 	e.draining.Store(true)
 	e.mu.Lock()
@@ -305,20 +329,10 @@ func (e *Edge) serveOne(cs *connState) (keepAlive bool, err error) {
 		tMark = t
 	}
 
-	// Keyed requests leave the zero-alloc path: idempotent replay rides
-	// the dedup cache shared with the net/http handler, so the edge
-	// PARSES the header without allocating (readHead) and FORWARDS the
-	// request through the cold-path delegate, key intact. Allocating here
-	// is fine — keys ride only on dispatcher retries and chaos drills,
-	// never the steady state, and the keyless fast path is untouched.
-	if len(cs.ikey) > 0 && e.g.Dedup != nil {
-		return e.serveCold(cs, "POST", "/invoke/"+string(cs.fname), http11, &h)
-	}
-
 	// Header-derived refusals, before any body byte moves:
 	// declared-oversized payloads must not cost pool memory or bandwidth
 	// (the connection closes — the body is unread on the wire), and
-	// chunked bodies belong to the net/http gateway, not the fast path.
+	// chunked bodies are not supported.
 	if h.contentLen > e.g.maxBody() {
 		return false, cs.writeSimple(http.StatusRequestEntityTooLarge, "payload too large", 0, false)
 	}
@@ -327,7 +341,7 @@ func (e *Edge) serveOne(cs *connState) (keepAlive bool, err error) {
 	}
 	cl := int(h.contentLen)
 
-	if e.draining.Load() || e.g.Pool.Draining() {
+	if e.draining.Load() || e.g.Draining() || e.g.Pool.Draining() {
 		refuseTrace(rec, cs, tMark)
 		return cs.reject(&h, keepAlive, http.StatusServiceUnavailable, "draining", 5, true)
 	}
@@ -341,8 +355,24 @@ func (e *Edge) serveOne(cs *connState) (keepAlive bool, err error) {
 		cs.span.FuncID = int32(def.ID)
 	}
 
-	// Circuit breaker, then admission — the same order and semantics as
-	// handleInvoke, lookup via bytes so the closed path stays alloc-free.
+	// From here on every exit stops the deadline timer and aborts a replay
+	// claim left uncommitted, so a waiting retry races to execute itself.
+	defer e.endRequest(cs)
+
+	// Idempotent replay before any resource is spent: a re-sent invocation
+	// (a dispatcher retrying across a broken connection) whose key already
+	// completed is answered from the cache — no breaker verdict, no
+	// admission slot, no pool work, no duplicated side effects. A replay
+	// runs no invocation and publishes no span.
+	if len(cs.ikey) > 0 && e.g.Dedup != nil {
+		if served, ka, err := e.claimKey(cs, &h, keepAlive); served {
+			return ka, err
+		}
+	}
+
+	// Circuit breaker first: a quarantined function is refused before it
+	// can consume an admission slot or pool resources. Lookup via bytes so
+	// the closed path stays alloc-free.
 	var (
 		brk   = e.g.Breakers.ForBytes(cs.fname)
 		probe bool
@@ -357,7 +387,7 @@ func (e *Edge) serveOne(cs *connState) (keepAlive bool, err error) {
 	}
 	if !e.g.Adm.TryAdmit() {
 		if probe {
-			brk.CancelProbe()
+			brk.CancelProbe() // the refusal says nothing about the function
 		}
 		refuseTrace(rec, cs, tMark)
 		return cs.reject(&h, keepAlive, http.StatusTooManyRequests, "saturated", 1, false)
@@ -397,42 +427,17 @@ func (e *Edge) serveOne(cs *connState) (keepAlive bool, err error) {
 		tMark = t
 	}
 
-	// Deadline via the connection's recycled timer: InvokeTimed selects on
-	// its channel directly, so no context (or timer) is allocated.
-	var (
-		deadline time.Time
-		expired  <-chan time.Time
-	)
-	if d := e.g.RequestTimeout; d > 0 {
-		deadline = time.Now().Add(d)
-		if cs.timer == nil {
-			cs.timer = time.NewTimer(d)
-		} else {
-			cs.timer.Reset(d)
-		}
-		cs.timerArmed = true
-		expired = cs.timer.C
-	}
-
+	// Deadline via the connection's recycled timer (already running if
+	// this request waited on a replay leader): InvokeTimed selects on its
+	// channel directly, so no context (or timer) is allocated.
+	cs.armDeadline(e.g.RequestTimeout)
 	var spp *trace.Span
 	if rec != nil {
 		spp = &cs.span
 	}
-	resp, abandoned, err := e.g.Pool.InvokeTimed(def, payload, deadline, expired, spp)
-
-	if cs.timerArmed {
-		cs.timerArmed = false
-		if abandoned {
-			// InvokeTimed consumed the fired tick; the timer is clean.
-		} else if !cs.timer.Stop() {
-			// Fired between completion and Stop: drain the stale tick so
-			// the next Reset cannot deliver it into a fresh invocation.
-			select {
-			case <-cs.timer.C:
-			default:
-			}
-		}
-	}
+	resp, abandoned, err := e.g.Pool.InvokeTimed(def, payload, cs.deadline, cs.expiry(), spp)
+	// An abandon consumed the fired tick; otherwise stop the timer now.
+	cs.stopDeadline(abandoned)
 	if abandoned {
 		// The runtime still owns the ArgBuf aliasing cs.body: surrender
 		// the buffer to the GC and start fresh next request (rare path).
@@ -463,15 +468,31 @@ func (e *Edge) serveOne(cs *connState) (keepAlive bool, err error) {
 			}
 			rec.Publish(sh, &cs.span)
 		}
-		return keepAlive, cs.writeInvokeError(err)
+		status, msg, retry, drain := invokeStatus(err)
+		if cs.ded != nil && status == http.StatusInternalServerError {
+			// A function-level failure is still a completed execution:
+			// record it so a retry replays the verdict instead of running
+			// the body a second time. The body is exactly writeSimple's.
+			b := append(append(cs.wbuf[:0], msg...), '\n')
+			e.g.Dedup.Commit(cs.ded, status, ctypeText, b)
+			cs.ded = nil
+			cs.wbuf = b
+		}
+		return keepAlive, cs.writeSimple(status, msg, retry, drain)
+	}
+
+	// Commit BEFORE writing to the client: the reason a retry exists is
+	// that this very write can fail mid-flight, and the replay must
+	// already be visible when the re-sent request races in.
+	if cs.ded != nil {
+		e.g.Dedup.Commit(cs.ded, http.StatusOK, ctypeOctet, resp)
+		cs.ded = nil
 	}
 
 	// Answer straight from the VMA-backed response bytes: build the head
 	// in connection scratch, then one writev for head + body.
-	b := cs.wbuf[:0]
-	b = append(b, "HTTP/1.1 200 OK\r\nContent-Length: "...)
-	b = strconv.AppendInt(b, int64(len(resp)), 10)
-	b = append(b, "\r\nContent-Type: application/octet-stream\r\n\r\n"...)
+	b := appendHead(cs.wbuf[:0], http.StatusOK, len(resp), ctypeOctet)
+	b = append(b, "\r\n"...)
 	cs.wbuf = b
 	if err := cs.writev(b, resp); err != nil {
 		return false, err
@@ -487,6 +508,88 @@ func (e *Edge) serveOne(cs *connState) (keepAlive bool, err error) {
 		rec.Publish(int(cs.span.Shard), &cs.span)
 	}
 	return keepAlive, nil
+}
+
+// claimKey resolves a keyed request against the replay cache. The first
+// request for a key leads: claimKey records the claim in cs.ded and the
+// caller executes, then commits or aborts it. A request whose key is held
+// follows: it waits for the leader's outcome, bounded by the request
+// deadline, and answers (served=true) with a replay of the recorded
+// response, or 504 if the deadline passes first. When the leader aborts
+// (a refusal, an ambiguous deadline), the follower races to lead itself.
+func (e *Edge) claimKey(cs *connState, h *reqHead, keepAlive bool) (served, ka bool, err error) {
+	for {
+		ent, leader := e.g.Dedup.Begin(cs.ikey)
+		if leader {
+			cs.ded = ent
+			return false, keepAlive, nil
+		}
+		cs.armDeadline(e.g.RequestTimeout)
+		select {
+		case <-ent.Done():
+		case <-cs.expiry():
+			cs.stopDeadline(true)
+			ka, err := cs.reject(h, keepAlive, http.StatusGatewayTimeout, "deadline exceeded", 0, false)
+			return true, ka, err
+		}
+		if status, ctype, body, ok := ent.Result(); ok {
+			ka, err := cs.replay(h, keepAlive, status, ctype, body)
+			return true, ka, err
+		}
+	}
+}
+
+// endRequest releases what an invoke request may still hold when it
+// leaves serveOne: the running deadline timer and an uncommitted replay
+// claim.
+func (e *Edge) endRequest(cs *connState) {
+	cs.stopDeadline(false)
+	if cs.ded != nil {
+		e.g.Dedup.Abort(cs.ded)
+		cs.ded = nil
+	}
+}
+
+// armDeadline starts the request deadline (d <= 0: none) on the
+// connection's recycled timer, unless it is already running for this
+// request.
+func (cs *connState) armDeadline(d time.Duration) {
+	if d <= 0 || cs.timerArmed {
+		return
+	}
+	cs.deadline = time.Now().Add(d)
+	if cs.timer == nil {
+		cs.timer = time.NewTimer(d)
+	} else {
+		cs.timer.Reset(d)
+	}
+	cs.timerArmed = true
+}
+
+// expiry is the running deadline's channel, or nil (never ready) if none.
+func (cs *connState) expiry() <-chan time.Time {
+	if !cs.timerArmed {
+		return nil
+	}
+	return cs.timer.C
+}
+
+// stopDeadline stops the request deadline. fired says the caller already
+// received the timer's tick, so the timer is clean.
+func (cs *connState) stopDeadline(fired bool) {
+	if !cs.timerArmed {
+		return
+	}
+	cs.timerArmed = false
+	cs.deadline = time.Time{}
+	if !fired && !cs.timer.Stop() {
+		// Fired between completion and Stop: drain the stale tick so the
+		// next Reset cannot deliver it into a fresh request.
+		select {
+		case <-cs.timer.C:
+		default:
+		}
+	}
 }
 
 // refuseTrace closes and publishes a span for a request refused at the edge
@@ -550,6 +653,12 @@ func (e *Edge) readHead(cs *connState, h *reqHead) error {
 		switch {
 		case bytes.EqualFold(key, hdrContentLength):
 			n, ok := parseDecimal(val)
+			// A repeated Content-Length must repeat the first verbatim, as
+			// net/http requires: two different lengths would let two
+			// parsers frame the body two ways (request smuggling).
+			if h.contentLen >= 0 && !bytes.Equal(val, cs.clRaw) {
+				ok = false
+			}
 			if !ok {
 				if werr := cs.writeSimple(http.StatusBadRequest, "bad content-length", 0, false); werr != nil {
 					return werr
@@ -557,8 +666,9 @@ func (e *Edge) readHead(cs *connState, h *reqHead) error {
 				return errRefused
 			}
 			h.contentLen = n
+			cs.clRaw = append(cs.clRaw[:0], val...)
 		case bytes.EqualFold(key, hdrConnection):
-			if bytes.EqualFold(val, valClose) {
+			if hasToken(val, valClose) {
 				h.wantClose = true
 			}
 		case bytes.EqualFold(key, hdrExpect):
@@ -575,6 +685,23 @@ func (e *Edge) readHead(cs *connState, h *reqHead) error {
 			cs.ikey = append(cs.ikey[:0], val...)
 		}
 	}
+}
+
+// hasToken reports whether a comma-separated header value list holds tok,
+// matched case-insensitively ("keep-alive, close" holds "close").
+func hasToken(list, tok []byte) bool {
+	for len(list) > 0 {
+		item := list
+		if i := bytes.IndexByte(list, ','); i >= 0 {
+			item, list = list[:i], list[i+1:]
+		} else {
+			list = nil
+		}
+		if bytes.EqualFold(trimOWS(item), tok) {
+			return true
+		}
+	}
+	return false
 }
 
 // discard consumes n unread body bytes so a refused request leaves the
@@ -596,21 +723,45 @@ func (cs *connState) discard(n int) error {
 // status goes out immediately and the connection closes, which RFC 9110
 // §10.1.1 permits in place of the 100.
 func (cs *connState) reject(h *reqHead, keepAlive bool, status int, msg string, retry int, drain bool) (bool, error) {
-	if h.expectContinue {
-		return false, cs.writeSimple(status, msg, retry, drain)
-	}
-	if err := cs.discard(int(h.contentLen)); err != nil {
+	keepAlive, err := cs.skipBody(h, keepAlive)
+	if err != nil {
 		return false, err
 	}
 	return keepAlive, cs.writeSimple(status, msg, retry, drain)
 }
 
-// serveCold feeds a non-fast-path request through the regular gateway mux
-// via a buffered ResponseWriter, then serializes the result. Allocation
-// cost is irrelevant here; connection framing is not. A declared body is
-// read off the wire before the mux runs (so keep-alive stays aligned on a
-// request-line boundary), oversized or chunked bodies are refused with the
-// connection closing (never buffered), and Connection: close is honored.
+// skipBody aligns the connection on the next request after one answered
+// without reading its body (see reject), reporting whether it stays open.
+func (cs *connState) skipBody(h *reqHead, keepAlive bool) (bool, error) {
+	if h.expectContinue {
+		return false, nil
+	}
+	return keepAlive, cs.discard(int(h.contentLen))
+}
+
+// replay answers a keyed request from the replay cache: the recorded
+// status, content type and body, marked with DedupHeader, framed like a
+// reject. The head is built in connection scratch; the body is the
+// cache's immutable copy.
+func (cs *connState) replay(h *reqHead, keepAlive bool, status int, ctype string, body []byte) (bool, error) {
+	keepAlive, err := cs.skipBody(h, keepAlive)
+	if err != nil {
+		return false, err
+	}
+	b := appendHead(cs.wbuf[:0], status, len(body), ctype)
+	b = append(b, DedupHeader...)
+	b = append(b, ": 1\r\n\r\n"...)
+	cs.wbuf = b
+	return keepAlive, cs.writev(b, body)
+}
+
+// serveCold feeds a request other than POST /invoke through the
+// management mux via a buffered ResponseWriter, then serializes the
+// result. Allocation cost is irrelevant here; connection framing is not.
+// A declared body is read off the wire before the mux runs (so keep-alive
+// stays aligned on a request-line boundary), oversized or chunked bodies
+// are refused with the connection closing (never buffered), and
+// Connection: close is honored.
 func (e *Edge) serveCold(cs *connState, method, path string, http11 bool, h *reqHead) (bool, error) {
 	keepAlive := http11 && !h.wantClose
 	if h.chunked {
@@ -639,18 +790,11 @@ func (e *Edge) serveCold(cs *connState, method, path string, http11 bool, h *req
 	if len(cs.host) > 0 {
 		req.Host = string(cs.host)
 	}
-	if len(cs.ikey) > 0 {
-		req.Header.Set(IdempotencyKeyHeader, string(cs.ikey))
-	}
 	cw := &coldWriter{h: make(http.Header), status: http.StatusOK}
 	e.mux.ServeHTTP(cw, req)
 
-	b := cs.wbuf[:0]
-	b = append(b, "HTTP/1.1 "...)
-	b = strconv.AppendInt(b, int64(cw.status), 10)
-	b = append(b, ' ')
-	b = append(b, http.StatusText(cw.status)...)
-	b = append(b, "\r\nContent-Length: "...)
+	b := appendStatus(cs.wbuf[:0], cw.status)
+	b = append(b, "Content-Length: "...)
 	b = strconv.AppendInt(b, int64(cw.buf.Len()), 10)
 	b = append(b, "\r\n"...)
 	for k, vs := range cw.h {
@@ -689,19 +833,38 @@ func (w *coldWriter) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
+// Content types of the edge's own responses.
+const (
+	ctypeOctet = "application/octet-stream"
+	ctypeText  = "text/plain; charset=utf-8"
+)
+
+// appendStatus appends a response status line.
+func appendStatus(b []byte, status int) []byte {
+	b = append(b, "HTTP/1.1 "...)
+	b = strconv.AppendInt(b, int64(status), 10)
+	b = append(b, ' ')
+	b = append(b, http.StatusText(status)...)
+	return append(b, "\r\n"...)
+}
+
+// appendHead appends a response's status line and its Content-Length and
+// Content-Type headers; the caller adds any others and the blank line.
+func appendHead(b []byte, status, n int, ctype string) []byte {
+	b = appendStatus(b, status)
+	b = append(b, "Content-Length: "...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, "\r\nContent-Type: "...)
+	b = append(b, ctype...)
+	return append(b, "\r\n"...)
+}
+
 // writeSimple answers a status with a short plain-text body (retrySecs > 0
 // adds Retry-After; drain adds the DrainingHeader cluster marker), built
 // entirely in connection scratch — error paths stay allocation-free too,
 // so overload answers are as cheap as successes.
 func (cs *connState) writeSimple(status int, msg string, retrySecs int, drain bool) error {
-	b := cs.wbuf[:0]
-	b = append(b, "HTTP/1.1 "...)
-	b = strconv.AppendInt(b, int64(status), 10)
-	b = append(b, ' ')
-	b = append(b, http.StatusText(status)...)
-	b = append(b, "\r\nContent-Length: "...)
-	b = strconv.AppendInt(b, int64(len(msg)+1), 10)
-	b = append(b, "\r\nContent-Type: text/plain; charset=utf-8\r\n"...)
+	b := appendHead(cs.wbuf[:0], status, len(msg)+1, ctypeText)
 	if retrySecs > 0 {
 		b = append(b, "Retry-After: "...)
 		b = strconv.AppendInt(b, int64(retrySecs), 10)
@@ -717,26 +880,6 @@ func (cs *connState) writeSimple(status int, msg string, retrySecs int, drain bo
 	cs.wbuf = b
 	_, err := cs.conn.Write(b)
 	return err
-}
-
-// writeInvokeError is writeInvokeError's status mapping for the edge path.
-func (cs *connState) writeInvokeError(err error) error {
-	switch {
-	case errors.Is(err, pool.ErrSaturated):
-		return cs.writeSimple(http.StatusTooManyRequests, "saturated", 1, false)
-	case errors.Is(err, pool.ErrDegraded):
-		return cs.writeSimple(http.StatusServiceUnavailable, "degraded", 1, false)
-	case errors.Is(err, pool.ErrDraining):
-		return cs.writeSimple(http.StatusServiceUnavailable, "draining", 5, true)
-	case errors.Is(err, pool.ErrUnknownFunction):
-		return cs.writeSimple(http.StatusNotFound, "unknown function", 0, false)
-	case errors.Is(err, context.DeadlineExceeded):
-		return cs.writeSimple(http.StatusGatewayTimeout, "deadline exceeded", 0, false)
-	case errors.Is(err, context.Canceled):
-		return cs.writeSimple(StatusClientClosedRequest, "client closed request", 0, false)
-	default:
-		return cs.writeSimple(http.StatusInternalServerError, err.Error(), 0, false)
-	}
 }
 
 // retrySecs converts a breaker's retry hint to whole seconds, minimum 1.

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -40,6 +41,14 @@ func newEdgeRig(t *testing.T, pc pool.Config) (addr string, g *Gateway, stop fun
 		RequestTimeout: 5 * time.Second,
 		MaxBodyBytes:   1 << 20,
 	}
+	addr, stop = serveEdge(t, g)
+	return addr, g, stop
+}
+
+// serveEdge serves g through an Edge on a loopback listener, returning its
+// address and a stop func that shuts the edge down and drains the pool.
+func serveEdge(t *testing.T, g *Gateway) (addr string, stop func()) {
+	t.Helper()
 	e := NewEdge(g)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -56,11 +65,11 @@ func newEdgeRig(t *testing.T, pc pool.Config) (addr string, g *Gateway, stop fun
 		if err := <-done; err != nil {
 			t.Errorf("edge serve: %v", err)
 		}
-		if err := p.Drain(ctx); err != nil {
+		if err := g.Pool.Drain(ctx); err != nil {
 			t.Errorf("pool drain: %v", err)
 		}
 	}
-	return ln.Addr().String(), g, stop
+	return ln.Addr().String(), stop
 }
 
 func smallPool() pool.Config {
@@ -409,6 +418,140 @@ func TestEdgeInvokeAllocs(t *testing.T) {
 	}
 }
 
+// TestEdgeKeyedInvokeAllocs: a keyed invocation runs the same pipeline as
+// a keyless one, so it allocates only what the replay cache keeps per key
+// — the key string, the entry, its done channel, the LRU element and the
+// body copy — measured with distinct keys on a cache warmed past
+// eviction, so each request also evicts one entry.
+func TestEdgeKeyedInvokeAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement in -short")
+	}
+	if race {
+		t.Skip("race instrumentation allocates")
+	}
+	base, _, g, stop := newDedupRig(t, 5*time.Second)
+	defer stop()
+
+	c, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const keyDigits = 12
+	req := []byte("POST /invoke/echo HTTP/1.1\r\nHost: x\r\n" + IdempotencyKeyHeader + ": " +
+		strings.Repeat("0", keyDigits) + "\r\nContent-Length: 11\r\n\r\nhello world")
+	keyAt := strings.Index(string(req), IdempotencyKeyHeader) + len(IdempotencyKeyHeader) + 2
+	rbuf := make([]byte, 4096)
+	ok200 := []byte("HTTP/1.1 200 ")
+	seq := 0
+	roundtrip := func() {
+		// A fresh key per request, written in place without allocating.
+		seq++
+		for i, n := keyAt+keyDigits-1, seq; i >= keyAt; i, n = i-1, n/10 {
+			req[i] = byte('0' + n%10)
+		}
+		if _, err := c.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		n, err := c.Read(rbuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(rbuf[:n], ok200) {
+			t.Fatalf("keyed invoke: %q", rbuf[:n])
+		}
+	}
+
+	// Warm up past eviction: the cache holds 64 entries.
+	for i := 0; i < 400; i++ {
+		roundtrip()
+	}
+	if g.Dedup.Evictions() == 0 {
+		t.Fatal("warm-up did not reach eviction")
+	}
+
+	const N = 2000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < N; i++ {
+		roundtrip()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.Mallocs-before.Mallocs) / N
+
+	const limit = 6
+	t.Logf("edge keyed invoke: %.4f allocs/op, %.0f B/op over %d requests",
+		perOp, float64(after.TotalAlloc-before.TotalAlloc)/N, N)
+	if perOp > limit {
+		t.Fatalf("keyed invoke allocates %.4f allocs/op (want <= %d)", perOp, limit)
+	}
+}
+
+// TestEdgeFramingMatchesNetHTTP feeds the same request bytes to the edge
+// and to http.ReadRequest: both must accept or reject each request alike,
+// and an accepted one must close the connection exactly when net/http's
+// Request.Close says so. Each request is followed by a pipelined GET,
+// which gets an answer only if the connection stayed open.
+func TestEdgeFramingMatchesNetHTTP(t *testing.T) {
+	addr, _, stop := newEdgeRig(t, smallPool())
+	defer stop()
+
+	for _, tc := range []struct {
+		name    string
+		headers string
+	}{
+		{"one length", "Content-Length: 5\r\n"},
+		{"repeated length", "Content-Length: 5\r\nContent-Length: 5\r\n"},
+		{"conflicting lengths", "Content-Length: 5\r\nContent-Length: 6\r\n"},
+		{"conflicting lengths, shorter last", "Content-Length: 6\r\nContent-Length: 5\r\n"},
+		{"close", "Content-Length: 5\r\nConnection: close\r\n"},
+		{"close, any case", "Content-Length: 5\r\nConnection: CLOSE\r\n"},
+		{"close last in list", "Content-Length: 5\r\nConnection: keep-alive, close\r\n"},
+		{"close first in list", "Content-Length: 5\r\nConnection: close,keep-alive\r\n"},
+		{"keep-alive", "Content-Length: 5\r\nConnection: keep-alive\r\n"},
+		{"other token", "Content-Length: 5\r\nConnection: upgrade\r\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw := "POST /invoke/echo HTTP/1.1\r\nHost: x\r\n" + tc.headers + "\r\nhello"
+			std, stdErr := http.ReadRequest(bufio.NewReader(strings.NewReader(raw)))
+
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.SetDeadline(time.Now().Add(3 * time.Second))
+			if _, err := io.WriteString(c, raw+"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+				t.Fatal(err)
+			}
+			br := bufio.NewReader(c)
+			resp, err := http.ReadResponse(br, nil)
+			if err != nil {
+				t.Fatalf("reading the edge's response: %v", err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			_, nextErr := http.ReadResponse(br, nil)
+			edgeClosed := nextErr != nil
+
+			if stdErr != nil {
+				if resp.StatusCode != http.StatusBadRequest || !edgeClosed {
+					t.Fatalf("net/http rejects (%v); edge answered %d, closed=%v", stdErr, resp.StatusCode, edgeClosed)
+				}
+				return
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("net/http accepts; edge answered %d", resp.StatusCode)
+			}
+			if edgeClosed != std.Close {
+				t.Fatalf("net/http Close=%v; edge closed=%v", std.Close, edgeClosed)
+			}
+		})
+	}
+}
+
 // TestEdgeShutdownDrains: Shutdown must finish in-flight work and then
 // refuse the connection.
 func TestEdgeShutdownDrains(t *testing.T) {
@@ -423,6 +566,34 @@ func TestEdgeShutdownDrains(t *testing.T) {
 	resp.Body.Close()
 	stop()
 	if _, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		t.Fatal("listener still accepting after Shutdown")
+	}
+}
+
+// TestEdgeShutdownBeforeServe: a Shutdown that lands before Serve has
+// registered its listener (a daemon stopped while still starting) must
+// make Serve return and close the listener, not accept forever.
+func TestEdgeShutdownBeforeServe(t *testing.T) {
+	e := NewEdge(&Gateway{Reg: router.New()})
+	if err := e.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- e.Serve(ln) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve after Shutdown: %v", err)
+		}
+	case <-time.After(3 * time.Second):
+		ln.Close()
+		t.Fatal("Serve kept accepting after Shutdown")
+	}
+	if _, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
 		t.Fatal("listener still accepting after Shutdown")
 	}
 }

@@ -1,17 +1,18 @@
 // Package gateway is the live serving path's HTTP front end: the jordd
 // endpoints (POST /invoke/{fn}, GET /healthz, GET /readyz, GET /statsz,
-// GET /varz) in front of the worker pool, with admission control,
-// per-function circuit breakers, per-request deadlines, and drain
-// awareness. It plays the role tinyFaaS-style reverse proxies and faasd's
-// gateway play in single-binary FaaS daemons, but dispatches into
-// in-process protection domains instead of containers.
+// GET /varz, ...) in front of the worker pool, with admission control,
+// per-function circuit breakers, per-request deadlines, idempotent replay
+// and drain awareness. Edge (edge.go) serves all of them: /invoke on its
+// own allocation-free pipeline, the GET endpoints through the net/http
+// handlers in this file. It plays the role tinyFaaS-style reverse proxies
+// and faasd's gateway play in single-binary FaaS daemons, but dispatches
+// into in-process protection domains instead of containers.
 package gateway
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"runtime"
@@ -73,10 +74,15 @@ func (g *Gateway) SetDraining(v bool) { g.draining.Store(v) }
 // Draining reports the drain state.
 func (g *Gateway) Draining() bool { return g.draining.Load() }
 
-// Handler returns the gateway's HTTP mux.
-func (g *Gateway) Handler() http.Handler {
+// handler returns the mux of the management endpoints, which the edge's
+// cold path serves. /invoke never reaches it.
+func (g *Gateway) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /invoke/{fn}", g.handleInvoke)
+	// POST /invoke runs on the edge itself; other methods end here.
+	mux.HandleFunc("/invoke/{fn}", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Allow", http.MethodPost)
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	})
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("GET /readyz", g.handleReadyz)
 	mux.HandleFunc("GET /statsz", g.handleStatsz)
@@ -119,238 +125,36 @@ func (g *Gateway) maxBody() int64 {
 	return 1 << 20
 }
 
-// bodyPool recycles request-body buffers so the /invoke read path does not
-// allocate a fresh slice per request. A buffer read here becomes the
-// invocation's ArgBuf payload zero-copy, so it may only return to the pool
-// once the runtime has certainly released the aliasing VMA — see
-// bodyRecyclable.
-var bodyPool = sync.Pool{New: func() any {
-	b := make([]byte, 32<<10)
-	return &b
-}}
-
-// getBody returns a pooled buffer with capacity for n bytes.
-func getBody(n int64) *[]byte {
-	bp := bodyPool.Get().(*[]byte)
-	if int64(cap(*bp)) < n {
-		*bp = make([]byte, n)
-	}
-	return bp
-}
-
-// bodyRecyclable reports whether an Invoke outcome guarantees the runtime
-// no longer aliases the request's payload buffer. Every completed outcome
-// (success, function error, pre-submit refusal) qualifies: the ArgBuf was
-// released before Invoke returned. Deadline/cancel outcomes do NOT — they
-// may be ABANDONS, where the in-flight invocation still owns the ArgBuf
-// aliasing our buffer; those buffers are leaked to the GC (rare path) and
-// the pool simply allocates a fresh one later.
-func bodyRecyclable(err error) bool {
-	return !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled)
-}
-
-func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	fn := r.PathValue("fn")
-	if g.draining.Load() {
-		retryAfter(w, 5*time.Second)
-		w.Header().Set(DrainingHeader, "1")
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	if g.Reg.Lookup(fn) == nil {
-		http.Error(w, fmt.Sprintf("unknown function %q", fn), http.StatusNotFound)
-		return
-	}
-
-	// Idempotent replay before any resource is spent: a re-sent
-	// invocation (a dispatcher retrying across a broken connection) whose
-	// key already completed is answered from the cache — no admission
-	// slot, no pool work, no duplicated side effects.
-	ded, served := g.dedupBegin(w, r)
-	if served {
-		return
-	}
-	committed := false
-	if ded != nil {
-		defer func() {
-			if !committed {
-				g.Dedup.Abort(ded)
-			}
-		}()
-	}
-
-	// Circuit breaker first: a quarantined function is refused before it
-	// can consume an admission slot or pool resources.
-	var (
-		brk   *breaker.Breaker
-		probe bool
-	)
-	if b := g.Breakers.For(fn); b != nil {
-		p, ok, retry := b.Allow(time.Now())
-		if !ok {
-			retryAfter(w, retry)
-			http.Error(w, fmt.Sprintf("circuit open for %q", fn), http.StatusServiceUnavailable)
-			return
-		}
-		brk, probe = b, p
-	}
-
-	if !g.Adm.TryAdmit() {
-		if probe {
-			brk.CancelProbe() // the refusal says nothing about the function
-		}
-		retryAfter(w, time.Second)
-		http.Error(w, "saturated: too many requests in flight", http.StatusTooManyRequests)
-		return
-	}
-	defer g.Adm.Release()
-
-	// Declared-oversized payloads are refused BEFORE a single body byte is
-	// buffered: the 413 must not cost pool memory or read bandwidth.
-	if r.ContentLength > g.maxBody() {
-		if probe {
-			brk.CancelProbe()
-		}
-		http.Error(w, "payload too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-
-	var (
-		payload []byte
-		pooled  *[]byte
-	)
-	if cl := r.ContentLength; cl >= 0 {
-		// Known length within bounds: read straight into a pooled buffer
-		// that becomes the ArgBuf payload zero-copy.
-		pooled = getBody(cl)
-		payload = (*pooled)[:cl]
-		if _, err := io.ReadFull(r.Body, payload); err != nil {
-			bodyPool.Put(pooled)
-			if probe {
-				brk.CancelProbe()
-			}
-			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-	} else {
-		// Unknown length (chunked): the rare compatibility path — buffer
-		// plainly, enforce the cap after the fact.
-		var err error
-		payload, err = io.ReadAll(io.LimitReader(r.Body, g.maxBody()+1))
-		if err != nil {
-			if probe {
-				brk.CancelProbe()
-			}
-			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if int64(len(payload)) > g.maxBody() {
-			if probe {
-				brk.CancelProbe()
-			}
-			http.Error(w, "payload too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-	}
-
-	ctx := r.Context()
-	if g.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.RequestTimeout)
-		defer cancel()
-	}
-
-	resp, err := g.Pool.Invoke(ctx, fn, payload)
-	if brk != nil {
-		g.recordOutcome(brk, probe, err)
-	}
-	if err != nil {
-		if pooled != nil && bodyRecyclable(err) {
-			bodyPool.Put(pooled)
-		}
-		// A function-level failure is still a COMPLETED execution: record
-		// it so a retry replays the verdict instead of running the body a
-		// second time. Refusals and ambiguous outcomes abort instead (see
-		// invokeExecuted) and the retry re-executes.
-		if ded != nil && invokeExecuted(err) {
-			g.Dedup.Commit(ded, http.StatusInternalServerError, "text/plain; charset=utf-8", []byte(err.Error()+"\n"))
-			committed = true
-		}
-		g.writeInvokeError(w, err)
-		return
-	}
-	// Commit BEFORE writing to the client: the reason a retry exists is
-	// that this very write can fail mid-flight, and the replay must
-	// already be visible when the re-sent request races in.
-	if ded != nil {
-		g.Dedup.Commit(ded, http.StatusOK, "application/octet-stream", resp)
-		committed = true
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(resp)
-	// The response may alias the request buffer (echo-shaped functions);
-	// recycle only after the write has copied it out.
-	if pooled != nil {
-		bodyPool.Put(pooled)
-	}
-}
-
-// dedupBegin resolves a keyed request against the replay cache: it
-// either claims leadership (the caller executes and must Commit/Abort
-// the returned entry), replays a completed response (served=true), or
-// answers the client-gone error while waiting on a concurrent leader.
-// Unkeyed requests (or a nil cache) pass straight through.
-func (g *Gateway) dedupBegin(w http.ResponseWriter, r *http.Request) (e *dedupEntry, served bool) {
-	if g.Dedup == nil {
-		return nil, false
-	}
-	key := r.Header.Get(IdempotencyKeyHeader)
-	if key == "" {
-		return nil, false
-	}
-	for {
-		e, leader := g.Dedup.Begin(key)
-		if leader {
-			return e, false
-		}
-		// Single-flight: a concurrent request holds the key. Wait for its
-		// outcome rather than executing the same invocation twice.
-		select {
-		case <-e.Done():
-		case <-r.Context().Done():
-			g.writeInvokeError(w, r.Context().Err())
-			return nil, true
-		}
-		if status, ctype, body, ok := e.Result(); ok {
-			h := w.Header()
-			if ctype != "" {
-				h.Set("Content-Type", ctype)
-			}
-			h.Set(DedupHeader, "1")
-			w.WriteHeader(status)
-			_, _ = w.Write(body)
-			return nil, true
-		}
-		// The leader aborted without completing (refusal, cancellation):
-		// loop and race to become the next leader ourselves.
-	}
-}
-
-// invokeExecuted reports whether an Invoke error implies the function
-// body ran to completion — only those outcomes are recorded for replay.
-// Backpressure refusals say nothing about the invocation (a retry should
-// execute), and deadline/cancel outcomes are ambiguous: the invocation
-// may still be running, so recording a verdict could contradict a side
-// effect that lands later. Those paths keep at-least-once semantics.
-func invokeExecuted(err error) bool {
+// invokeStatus is the one mapping from an invocation error to its HTTP
+// answer: saturation is backpressure (429), tiered degradation (of PDs or
+// of the state tier) and drain are 503, deadlines are gateway timeouts
+// (504), cancellations are client-closed-request (499), and anything else
+// — function errors, panics, isolation faults — is a plain 500 carrying
+// the message. retry > 0 is the Retry-After hint every 429/503 carries;
+// drain marks the 503 with DrainingHeader.
+//
+// A 500 is also the only status that reports a completed execution, so it
+// is the only error the replay cache records: refusals say nothing about
+// the invocation (a retry should execute), and deadline/cancel outcomes
+// are ambiguous — the invocation may still be running, so recording a
+// verdict could contradict a side effect that lands later.
+func invokeStatus(err error) (status int, msg string, retry int, drain bool) {
 	switch {
-	case errors.Is(err, pool.ErrSaturated), errors.Is(err, pool.ErrDegraded),
-		errors.Is(err, pool.ErrDraining), errors.Is(err, pool.ErrUnknownFunction),
-		errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return false
+	case errors.Is(err, pool.ErrSaturated):
+		return http.StatusTooManyRequests, "saturated", 1, false
+	case errors.Is(err, pool.ErrDegraded), errors.Is(err, state.ErrDegraded):
+		return http.StatusServiceUnavailable, "degraded", 1, false
+	case errors.Is(err, pool.ErrDraining):
+		return http.StatusServiceUnavailable, "draining", 5, true
+	case errors.Is(err, pool.ErrUnknownFunction):
+		return http.StatusNotFound, "unknown function", 0, false
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, "deadline exceeded", 0, false
+	case errors.Is(err, context.Canceled):
+		return StatusClientClosedRequest, "client closed request", 0, false
+	default:
+		return http.StatusInternalServerError, err.Error(), 0, false
 	}
-	return true
 }
 
 // recordOutcome classifies one invocation result for the function's
@@ -367,7 +171,8 @@ func (g *Gateway) recordOutcome(brk *breaker.Breaker, probe bool, err error) {
 	case errors.Is(err, pool.ErrPanicked), errors.Is(err, context.DeadlineExceeded):
 		brk.Record(true, probe, time.Now())
 	case errors.Is(err, pool.ErrSaturated), errors.Is(err, pool.ErrDegraded),
-		errors.Is(err, pool.ErrDraining), errors.Is(err, context.Canceled):
+		errors.Is(err, state.ErrDegraded), errors.Is(err, pool.ErrDraining),
+		errors.Is(err, context.Canceled):
 		if probe {
 			brk.CancelProbe()
 		}
@@ -380,36 +185,6 @@ func (g *Gateway) recordOutcome(brk *breaker.Breaker, probe bool, err error) {
 // away before the response was ready. Pool cancellations map onto it so
 // abandoned requests are accounted as client behavior, not server errors.
 const StatusClientClosedRequest = 499
-
-// writeInvokeError maps pool errors onto HTTP statuses: saturation is
-// backpressure (429), tiered degradation and drain are 503, deadlines are
-// gateway timeouts (504), cancellations are client-closed-request (499),
-// anything else — including isolation faults and function errors — is a
-// plain 500 with the message. Every 429/503 carries Retry-After.
-func (g *Gateway) writeInvokeError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, pool.ErrSaturated):
-		retryAfter(w, time.Second)
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-	case errors.Is(err, pool.ErrDegraded), errors.Is(err, state.ErrDegraded):
-		retryAfter(w, time.Second)
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.Is(err, pool.ErrDraining):
-		retryAfter(w, 5*time.Second)
-		w.Header().Set(DrainingHeader, "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.Is(err, pool.ErrUnknownFunction):
-		http.Error(w, err.Error(), http.StatusNotFound)
-	case errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
-	case errors.Is(err, context.Canceled):
-		// Usually unreachable over real HTTP (the client is gone), but it
-		// keeps the accounting honest for in-process callers and tests.
-		http.Error(w, "client closed request", StatusClientClosedRequest)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if g.draining.Load() {

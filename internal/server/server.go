@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,12 +102,10 @@ type Config struct {
 	// defaults to 4096 entries; < 0 disables replay.
 	DedupCache int
 
-	// Edge serves HTTP through the zero-allocation edge front end
-	// (gateway.Edge) instead of net/http: the POST /invoke fast path runs
-	// from socket to function and back without per-request heap
-	// allocations. Management endpoints behave identically (they are
-	// delegated to the same handlers). net/http remains the default for
-	// its wider protocol surface (HTTP/2, chunked bodies, TLS).
+	// Edge once chose the zero-allocation edge over net/http. Every
+	// daemon now serves through gateway.Edge.
+	//
+	// Deprecated: ignored.
 	Edge bool
 }
 
@@ -144,8 +141,7 @@ type Daemon struct {
 	pool  *pool.Pool
 	state *state.Store // nil when StateCap < 0
 	gw    *gateway.Gateway
-	http  *http.Server  // nil when Cfg.Edge
-	edge  *gateway.Edge // nil unless Cfg.Edge
+	edge  *gateway.Edge
 
 	addr    atomic.Value // string; set once serving
 	started atomic.Bool
@@ -294,11 +290,7 @@ func (d *Daemon) start() error {
 		RequestTimeout: d.Cfg.RequestTimeout,
 		MaxBodyBytes:   d.Cfg.MaxBodyBytes,
 	}
-	if d.Cfg.Edge {
-		d.edge = gateway.NewEdge(d.gw)
-	} else {
-		d.http = &http.Server{Handler: d.gw.Handler()}
-	}
+	d.edge = gateway.NewEdge(d.gw)
 	return nil
 }
 
@@ -323,13 +315,6 @@ func (d *Daemon) Gateway() *gateway.Gateway {
 	return d.gw
 }
 
-// Edge exposes the zero-allocation front end (nil unless Config.Edge).
-func (d *Daemon) Edge() *gateway.Edge {
-	d.startMu.Lock()
-	defer d.startMu.Unlock()
-	return d.edge
-}
-
 // Addr returns the bound listen address once serving ("" before).
 func (d *Daemon) Addr() string {
 	if v := d.addr.Load(); v != nil {
@@ -344,14 +329,7 @@ func (d *Daemon) Serve(ln net.Listener) error {
 		return err
 	}
 	d.addr.Store(ln.Addr().String())
-	if d.edge != nil {
-		return d.edge.Serve(ln)
-	}
-	err := d.http.Serve(ln)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
+	return d.edge.Serve(ln)
 }
 
 // ListenAndServe binds Config.Addr and serves until Shutdown or error.
@@ -370,7 +348,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	// Taking startMu means a concurrent start() has either fully built
 	// the stack or not begun; the field snapshot below is never partial.
 	d.startMu.Lock()
-	gw, edge, httpSrv, p, st := d.gw, d.edge, d.http, d.pool, d.state
+	gw, edge, p, st := d.gw, d.edge, d.pool, d.state
 	d.startMu.Unlock()
 	if gw == nil {
 		return fmt.Errorf("server: not started")
@@ -381,14 +359,10 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 		ctx, cancel = context.WithTimeout(ctx, d.Cfg.DrainTimeout)
 		defer cancel()
 	}
-	// Stop accepting connections and wait for in-flight HTTP handlers —
-	// each of which waits on its invocation — then drain the pool's
-	// internal state and stop the runtime goroutines.
-	if edge != nil {
-		if err := edge.Shutdown(ctx); err != nil {
-			return err
-		}
-	} else if err := httpSrv.Shutdown(ctx); err != nil {
+	// Stop accepting connections and wait for in-flight requests — each
+	// of which waits on its invocation — then drain the pool's internal
+	// state and stop the runtime goroutines.
+	if err := edge.Shutdown(ctx); err != nil {
 		return err
 	}
 	if err := p.Drain(ctx); err != nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"jord/internal/server/router"
 	"jord/internal/server/state"
@@ -46,10 +47,19 @@ const timelineCap = 32
 // feedPosts is how many posts social.timeline resolves per request.
 const feedPosts = 10
 
-// takeRetries bounds the bounded-spin on StateTake contention: the store
-// never blocks a taker (ErrTaken is immediate), so contended updates yield
-// and retry instead of parking an executor runner.
-const takeRetries = 64
+// Contended StateTake retries. The store never blocks a taker (ErrTaken is
+// immediate) and an owner holds a key only from its Take to its Commit,
+// never across a nested call, so the key frees as soon as the owner runs
+// again. On a loaded machine the owner's thread can be descheduled for
+// milliseconds, longer than any fixed number of yields covers, so update
+// retries for a span of time: takeSpins yields first, then sleeps that
+// double up to takeMaxSleep, until takeBudget has passed since the first
+// conflict or the invocation's own context ends.
+const (
+	takeSpins    = 64
+	takeMaxSleep = time.Millisecond
+	takeBudget   = time.Second
+)
 
 // socialStore is the tiny store seam the social bodies run over: the
 // shared-state tier or the copying baseline.
@@ -86,19 +96,33 @@ func (sharedStore) write(ctx router.Ctx, key string, val []byte) error {
 }
 
 func (sharedStore) update(ctx router.Ctx, key string, f func(old []byte) []byte) ([]byte, error) {
+	var (
+		giveUp time.Time
+		sleep  = 10 * time.Microsecond
+	)
 	for attempt := 0; ; attempt++ {
 		tx, err := ctx.StateTake(router.StateGlobal, key)
 		if err != nil {
-			// Another invocation owns the key this instant; yield and retry
-			// rather than blocking an executor runner on state contention.
-			if errors.Is(err, state.ErrTaken) && attempt < takeRetries {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
+			// Another invocation owns the key this instant: back off and
+			// retry (see takeBudget).
+			if !errors.Is(err, state.ErrTaken) {
+				return nil, err
+			}
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
+			}
+			if now := time.Now(); giveUp.IsZero() {
+				giveUp = now.Add(takeBudget)
+			} else if now.After(giveUp) {
+				return nil, err
+			}
+			if attempt < takeSpins {
 				runtime.Gosched()
 				continue
 			}
-			return nil, err
+			time.Sleep(sleep)
+			sleep = min(2*sleep, takeMaxSleep)
+			continue
 		}
 		next := f(tx.Bytes())
 		if _, err := tx.Commit(next); err != nil {
