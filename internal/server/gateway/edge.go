@@ -882,7 +882,9 @@ func (cs *connState) writeSimple(status int, msg string, retrySecs int, drain bo
 	return err
 }
 
-// retrySecs converts a breaker's retry hint to whole seconds, minimum 1.
+// retrySecs converts a breaker's retry hint to Retry-After's whole
+// seconds, rounded up, minimum 1 — a sub-second hint would serialize as
+// "0", which clients read as "retry immediately".
 func retrySecs(d time.Duration) int {
 	s := int((d + time.Second - 1) / time.Second)
 	if s < 1 {

@@ -16,7 +16,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,17 +97,6 @@ func (g *Gateway) handler() http.Handler {
 // "this node is draining — place the request on another worker" apart from
 // "the fleet is saturated — pass the 503 through to the client".
 const DrainingHeader = "X-Jord-Draining"
-
-// retryAfter stamps the client-backoff hint every 429/503 carries. The
-// header is whole seconds, rounded up, minimum 1 — sub-second hints would
-// serialize as "0", which clients read as "retry immediately".
-func retryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-}
 
 // Degraded reports whether the pool is inside its tiered-shedding band:
 // the free-PD supply is at or below the shed threshold, so external
@@ -239,7 +227,7 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	doc.Ready = !doc.Draining && !doc.Degraded
 	w.Header().Set("Content-Type", "application/json")
 	if !doc.Ready {
-		retryAfter(w, time.Second)
+		w.Header().Set("Retry-After", "1")
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	enc := json.NewEncoder(w)
